@@ -23,16 +23,10 @@ namespace
 constexpr const char *entry_suffix = ".res";
 constexpr const char *stats_name = "stats.tsv";
 
-/**
- * Unique temp suffix: hostname + pid disambiguates concurrent shards
- * — including on *different hosts* sharing one cache directory, where
- * pids collide freely — and the counter disambiguates threads within
- * a process storing the same key (e.g. duplicate manifest cells).
- * Two writers must never share a temp inode or the atomic-publish
- * contract breaks.
- */
+} // namespace
+
 std::string
-tempSuffix()
+uniqueTempSuffix()
 {
     static const std::string host = [] {
         char buf[256] = {};
@@ -46,8 +40,6 @@ tempSuffix()
        << serial.fetch_add(1, std::memory_order_relaxed);
     return os.str();
 }
-
-} // namespace
 
 ResultCache::ResultCache(const std::string &dir)
     : dir_(dir.empty() ? defaultDir() : dir)
@@ -127,7 +119,7 @@ ResultCache::storeBytes(const CacheKey &key,
                         const std::string &bytes) const
 {
     const std::string final_path = entryPath(key);
-    const std::string tmp_path = final_path + tempSuffix();
+    const std::string tmp_path = final_path + uniqueTempSuffix();
     {
         std::ofstream os(tmp_path, std::ios::binary | std::ios::trunc);
         if (!os)
@@ -236,7 +228,7 @@ ResultCache::recordRun(std::uint64_t executed, std::uint64_t cached) const
     s.total_cached += cached;
 
     const std::string path = dir_ + "/" + stats_name;
-    const std::string tmp = path + tempSuffix();
+    const std::string tmp = path + uniqueTempSuffix();
     {
         std::ofstream os(tmp, std::ios::trunc);
         if (!os)

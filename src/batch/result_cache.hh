@@ -43,6 +43,16 @@
 namespace delorean::batch
 {
 
+/**
+ * ".tmp.<host>.<pid>.<serial>": a temp-file suffix no other writer
+ * can share — hostname + pid disambiguate concurrent processes, also
+ * on *different hosts* sharing one directory (where pids collide
+ * freely), and the serial disambiguates threads within a process
+ * writing the same path. Every write-then-rename publish uses it, so
+ * two writers never share a temp inode.
+ */
+std::string uniqueTempSuffix();
+
 class ResultCache
 {
   public:

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "base/intmath.hh"
+#include "batch/result_cache.hh"
 #include "core/session.hh"
 #include "workload/endian.hh"
 #include "workload/trace_registry.hh"
@@ -453,7 +454,9 @@ recordLivePoints(const std::string &spec,
 void
 writeLivePointFile(const std::string &path, const LivePointFile &file)
 {
-    const std::string tmp = path + ".tmp";
+    // A per-writer temp name: two writers of one key must never
+    // truncate each other's half-written file before the rename.
+    const std::string tmp = path + batch::uniqueTempSuffix();
     {
         std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
         if (!os)

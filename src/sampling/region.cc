@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "base/logging.hh"
+#include "sampling/checkpoint_library.hh"
 
 namespace delorean::sampling
 {
@@ -43,6 +44,14 @@ TraceCheckpointer::prepare(std::vector<InstCount> positions)
     std::sort(positions.begin(), positions.end());
     positions.erase(std::unique(positions.begin(), positions.end()),
                     positions.end());
+
+    if (!origin_->streamIdentity().empty()) {
+        auto snaps =
+            CheckpointLibrary::instance().snapshots(*origin_, positions);
+        for (std::size_t i = 0; i < positions.size(); ++i)
+            snaps_.emplace(positions[i], std::move(snaps[i]));
+        return;
+    }
 
     auto cursor = origin_->clone();
     for (const InstCount pos : positions) {

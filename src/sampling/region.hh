@@ -67,16 +67,22 @@ struct RegionSchedule
 
 /**
  * Checkpoint store over a master trace — our stand-in for the library of
- * KVM snapshots the paper's passes boot from. prepare() makes one forward
- * pass and snapshots the generator at each requested position; at() hands
- * out clones positioned anywhere, advancing from the nearest checkpoint.
+ * KVM snapshots the paper's passes boot from. prepare() snapshots the
+ * generator at each requested position; at() hands out clones positioned
+ * anywhere, advancing from the nearest checkpoint.
+ *
+ * A master with a stream identity (the registry's spec: traces) takes
+ * its snapshots from the process-wide CheckpointLibrary, so each
+ * position of each workload is fast-forwarded once per process, not
+ * once per cell. Other masters (file-backed traces, whose skips are
+ * seeks; hand-built generators) make a private forward pass.
  */
 class TraceCheckpointer
 {
   public:
     explicit TraceCheckpointer(const workload::TraceSource &master);
 
-    /** Snapshot the requested positions in one forward pass. */
+    /** Snapshot the requested positions (see the class comment). */
     void prepare(std::vector<InstCount> positions);
 
     /** @return a fresh trace positioned exactly at @p pos. */
@@ -85,8 +91,11 @@ class TraceCheckpointer
     std::size_t checkpoints() const { return snaps_.size(); }
 
   private:
-    std::unique_ptr<workload::TraceSource> origin_;
-    std::map<InstCount, std::unique_ptr<workload::TraceSource>> snaps_;
+    std::shared_ptr<const workload::TraceSource> origin_;
+    /** Immutable and possibly shared with the library and other
+     *  checkpointers; at() only ever clones them. */
+    std::map<InstCount, std::shared_ptr<const workload::TraceSource>>
+        snaps_;
 };
 
 /** All positions the DeLorean passes need for @p schedule. */

@@ -694,6 +694,13 @@ ServiceClient::stats()
             else if (token.rfind("spool_processed=", 0) == 0)
                 info.spool_processed =
                     batch::parseCount(token.substr(16));
+            else if (token.rfind("ckpt_hits=", 0) == 0)
+                info.ckpt_hits = batch::parseCount(token.substr(10));
+            else if (token.rfind("ckpt_misses=", 0) == 0)
+                info.ckpt_misses = batch::parseCount(token.substr(12));
+            else if (token.rfind("ckpt_ff_insts=", 0) == 0)
+                info.ckpt_ff_insts =
+                    batch::parseCount(token.substr(14));
             else if (token.rfind("cells_total=", 0) == 0)
                 info.fleet_stats.cells_total =
                     batch::parseCount(token.substr(12));

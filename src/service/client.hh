@@ -111,6 +111,11 @@ struct ServiceStats
     std::uint64_t queue_depth = 0;
     std::uint64_t running = 0;
     std::uint64_t spool_processed = 0;
+    // The daemon process's checkpoint library
+    // (sampling::CheckpointLibrary::Stats).
+    std::uint64_t ckpt_hits = 0;
+    std::uint64_t ckpt_misses = 0;
+    std::uint64_t ckpt_ff_insts = 0;
 
     FleetStats fleet_stats; //!< meaningful when fleet
 };

@@ -820,7 +820,7 @@ Coordinator::handleStreamAppend(const std::string &body)
         return protocol::Reply::error("stream " + std::to_string(id) +
                                       " is closing");
     try {
-        stream.spool->append(body.substr(eol + 1));
+        stream.spool->append(std::string_view(body).substr(eol + 1));
     } catch (const ServiceError &) {
         // Malformed header, overflow, spool I/O: the stream's state
         // is unrecoverable. Drop it so its spool is reclaimed; an

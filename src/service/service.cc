@@ -11,6 +11,7 @@
 #include "batch/error.hh"
 #include "batch/runner.hh"
 #include "core/parallel.hh"
+#include "sampling/checkpoint_library.hh"
 #include "service/server.hh"
 #include "workload/endian.hh"
 #include "workload/trace_io.hh"
@@ -437,7 +438,7 @@ BatchService::handleStreamOpen(const std::string &body)
 }
 
 TraceStream::AppendInfo
-BatchService::appendToStream(std::uint64_t id, const std::string &bytes)
+BatchService::appendToStream(std::uint64_t id, std::string_view bytes)
 {
     auto entry = findStream(id);
     try {
@@ -466,7 +467,7 @@ BatchService::handleStreamAppend(const std::string &body)
     const std::uint64_t id =
         parseStreamId(body.substr(0, eol), "STREAM-APPEND");
     const TraceStream::AppendInfo info =
-        appendToStream(id, body.substr(eol + 1));
+        appendToStream(id, std::string_view(body).substr(eol + 1));
 
     std::ostringstream os;
     os << "received=" << info.received << " records=" << info.records
@@ -604,6 +605,7 @@ BatchService::handleStats()
 {
     const auto stats = cache_.stats();
     const auto c = queue_.counters();
+    const auto ckpt = sampling::CheckpointLibrary::instance().stats();
     std::ostringstream os;
     os << "last_run_executed=" << stats.last_run_executed
        << " last_run_cached=" << stats.last_run_cached
@@ -617,7 +619,9 @@ BatchService::handleStats()
        << " jobs=" << c.jobs_submitted
        << " completed=" << c.jobs_completed
        << " job_failures=" << c.jobs_failed << " spool_processed="
-       << (watcher_ ? watcher_->processed() : 0) << "\n";
+       << (watcher_ ? watcher_->processed() : 0)
+       << " ckpt_hits=" << ckpt.hits << " ckpt_misses=" << ckpt.misses
+       << " ckpt_ff_insts=" << ckpt.ff_insts << "\n";
     return protocol::Reply::success(os.str());
 }
 

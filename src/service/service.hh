@@ -38,6 +38,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -156,7 +157,7 @@ class BatchService
      *  follower): feed @p bytes to stream @p id, discarding the
      *  stream on a poisoning error. Throws ServiceError. */
     TraceStream::AppendInfo appendToStream(std::uint64_t id,
-                                           const std::string &bytes);
+                                           std::string_view bytes);
 
     /** Follow the growing trace at @p path into stream @p id until
      *  every declared byte is fed, the stream dies, or shutdown. */

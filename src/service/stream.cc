@@ -180,39 +180,59 @@ TraceSpool::parseHeader()
 }
 
 void
-TraceSpool::spoolRecords()
+TraceSpool::writeRecords(std::string_view records)
 {
-    const std::uint64_t remaining = declared_ - records_;
-    if (pending_.size() > remaining * TraceFormat::record_size)
-        throw ServiceError(
-            streamErr(id_) + "overflow: bytes past the " +
-            std::to_string(declared_) + " records the header declared");
-    const std::uint64_t complete =
-        pending_.size() / TraceFormat::record_size;
-    if (complete == 0)
+    if (records.empty())
         return;
-    const std::size_t n =
-        std::size_t(complete * TraceFormat::record_size);
-    out_.write(pending_.data(), std::streamsize(n));
+    out_.write(records.data(), std::streamsize(records.size()));
     if (!out_)
         throw ServiceError(streamErr(id_) + "spool write failed");
-    pending_.erase(0, n);
-    records_ += complete;
+    records_ += records.size() / TraceFormat::record_size;
 }
 
 void
-TraceSpool::append(const std::string &bytes)
+TraceSpool::spoolRecords(std::string_view more)
+{
+    const std::uint64_t remaining = declared_ - records_;
+    if (pending_.size() + more.size() >
+        remaining * TraceFormat::record_size)
+        throw ServiceError(
+            streamErr(id_) + "overflow: bytes past the " +
+            std::to_string(declared_) + " records the header declared");
+
+    // Complete the record split across the previous chunk boundary.
+    if (!pending_.empty()) {
+        const std::size_t fill = std::min(
+            more.size(), TraceFormat::record_size - pending_.size());
+        pending_.append(more.substr(0, fill));
+        more.remove_prefix(fill);
+        if (pending_.size() < TraceFormat::record_size)
+            return;
+        writeRecords(pending_);
+        pending_.clear();
+    }
+    const std::size_t whole =
+        more.size() / TraceFormat::record_size * TraceFormat::record_size;
+    writeRecords(more.substr(0, whole));
+    pending_.assign(more.substr(whole));
+}
+
+void
+TraceSpool::append(std::string_view bytes)
 {
     received_ += bytes.size();
     if (received_ > protocol::max_stream)
         throw ServiceError(streamErr(id_) + "stream exceeds the " +
                            std::to_string(protocol::max_stream) +
                            "-byte limit");
-    pending_ += bytes;
-    if (!header_done_)
-        parseHeader();
+    if (header_done_) {
+        spoolRecords(bytes);
+        return;
+    }
+    pending_.append(bytes);
+    parseHeader();
     if (header_done_)
-        spoolRecords();
+        spoolRecords(std::exchange(pending_, std::string()));
 }
 
 void
@@ -274,7 +294,7 @@ TraceStream::feedReady()
 }
 
 TraceStream::AppendInfo
-TraceStream::append(const std::string &bytes)
+TraceStream::append(std::string_view bytes)
 {
     spool_.append(bytes);
     feedReady();

@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -110,9 +111,11 @@ class TraceSpool
     /**
      * Ingest the next chunk — any split, including mid-header and
      * mid-record. Throws ServiceError on malformed headers or
-     * overflow past the declared record count.
+     * overflow past the declared record count. Complete records are
+     * written straight from @p bytes; only a header in progress and
+     * a record split across chunks are buffered.
      */
-    void append(const std::string &bytes);
+    void append(std::string_view bytes);
 
     /** Flush spooled bytes so an independent reader sees them. */
     void flush();
@@ -137,15 +140,23 @@ class TraceSpool
     /** Try to complete header parsing from pending_. */
     void parseHeader();
 
-    /** Move complete records from pending_ to the spool file. */
-    void spoolRecords();
+    /**
+     * Spool the record bytes pending_ (< one record) + @p more:
+     * every complete record goes to the file, the tail to pending_.
+     */
+    void spoolRecords(std::string_view more);
+
+    /** Write whole records to the spool file. */
+    void writeRecords(std::string_view records);
 
     std::uint64_t id_;
     std::string path_;
     std::uint64_t min_records_;
 
     std::ofstream out_;
-    std::string pending_;          //!< bytes not yet spooled
+    /** Bytes not yet spooled: a header in progress, else less than
+     *  one record. */
+    std::string pending_;
     bool header_done_ = false;
     std::uint64_t header_bytes_ = 0;   //!< fixed header + name length
     std::uint64_t declared_ = 0;       //!< header's inst_count
@@ -182,7 +193,7 @@ class TraceStream
      * complete. Throws ServiceError on malformed headers or overflow
      * past the declared record count, TraceError on garbage records.
      */
-    AppendInfo append(const std::string &bytes);
+    AppendInfo append(std::string_view bytes);
 
     struct CloseInfo
     {

@@ -513,7 +513,8 @@ specProfile(const std::string &name)
 std::unique_ptr<TraceSource>
 makeSpecTrace(const std::string &name)
 {
-    return std::make_unique<SyntheticTrace>(specProfile(name));
+    return std::make_unique<SyntheticTrace>(specProfile(name),
+                                            "spec:" + name);
 }
 
 } // namespace delorean::workload

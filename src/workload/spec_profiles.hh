@@ -49,7 +49,10 @@ const std::vector<std::string> &specBenchmarkNames();
  */
 BenchmarkProfile specProfile(const std::string &name);
 
-/** Convenience: construct the trace generator for @p name. */
+/**
+ * Construct the trace generator for @p name, with stream identity
+ * "spec:NAME" (TraceSource::streamIdentity).
+ */
 std::unique_ptr<TraceSource> makeSpecTrace(const std::string &name);
 
 } // namespace delorean::workload

@@ -20,8 +20,10 @@ constexpr std::uint64_t step_func_slots = 1024;
 
 } // namespace
 
-SyntheticTrace::SyntheticTrace(BenchmarkProfile profile)
+SyntheticTrace::SyntheticTrace(BenchmarkProfile profile,
+                               std::string identity)
     : profile_(std::make_shared<const BenchmarkProfile>(std::move(profile))),
+      identity_(std::move(identity)),
       rng_(profile_->seed),
       pos_(0),
       code_cursor_(0),
@@ -151,6 +153,7 @@ SyntheticTrace::SyntheticTrace(BenchmarkProfile profile)
 SyntheticTrace::SyntheticTrace(const SyntheticTrace &other)
     : profile_(other.profile_),
       tables_(other.tables_),
+      identity_(other.identity_),
       pc_cursor_(other.pc_cursor_),
       rng_(other.rng_),
       pos_(other.pos_),

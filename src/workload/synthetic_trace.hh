@@ -40,13 +40,24 @@ class SyntheticTrace : public TraceSource
     /** Start of the code address space. */
     static constexpr Addr code_base = 0x40'0000;
 
-    explicit SyntheticTrace(BenchmarkProfile profile);
+    /**
+     * @p identity is the streamIdentity() to report; only the spec
+     * registry (makeSpecTrace) passes one, because it alone knows
+     * that equal names mean equal profiles.
+     */
+    explicit SyntheticTrace(BenchmarkProfile profile,
+                            std::string identity = {});
 
     Instruction next() override;
     InstCount position() const override { return pos_; }
     std::unique_ptr<TraceSource> clone() const override;
     void reset() override;
     const std::string &name() const override { return profile_->name; }
+    const std::string &
+    streamIdentity() const override
+    {
+        return identity_;
+    }
 
     /**
      * Faster than the default n x next(): runs the same state
@@ -137,6 +148,7 @@ class SyntheticTrace : public TraceSource
 
     std::shared_ptr<const BenchmarkProfile> profile_;
     std::shared_ptr<const Tables> tables_;
+    std::string identity_;
 
     /** Advance the position and the phase cursor together. */
     void

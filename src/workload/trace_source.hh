@@ -68,6 +68,24 @@ class TraceSource
     virtual const std::string &name() const = 0;
 
     /**
+     * Stream identity, or empty. A non-empty identity promises that
+     * every source carrying it produces the same stream from
+     * instruction 0, for the life of the process, so snapshots taken
+     * from one may stand in for any other
+     * (sampling/checkpoint_library.hh). Only the registry's synthetic
+     * traces carry one: the normalized spec "spec:NAME", the identity
+     * batch::KeyBuilder::workload already uses. File-backed sources
+     * (whose content can change, and whose skips are seeks anyway)
+     * and hand-built generators return empty.
+     */
+    virtual const std::string &
+    streamIdentity() const
+    {
+        static const std::string none;
+        return none;
+    }
+
+    /**
      * Advance @p n instructions without inspecting them. The default
      * implementation just discards; generators may override with a faster
      * path. Functionally equivalent to calling next() n times.

@@ -13,6 +13,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -21,6 +22,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/histogram.hh"
@@ -206,6 +208,43 @@ TEST(LivePoint, RecordRoundTripAndResumeBitIdentical)
     const auto fresh = core::DeloreanMethod::run(*fresh_trace, cfg);
     EXPECT_EQ(resumed, fresh);
     EXPECT_EQ(resumed.windows_replayed, resumed.windows_total);
+}
+
+TEST(LivePoint, ConcurrentWritersOfOnePathBothPublish)
+{
+    // Two runs of one key publish the same file at once (e.g. two
+    // daemons sharing a live-point directory). Each must get its own
+    // temp file: a shared one is truncated under the other writer or
+    // renamed away before its owner's rename.
+    const auto file = checkpoint::recordLivePoints("bzip2", quickConfig());
+    TempPath out("concurrent");
+    std::atomic<unsigned> failures{0};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < 2; ++w) {
+        writers.emplace_back([&] {
+            for (int i = 0; i < 50; ++i) {
+                try {
+                    checkpoint::writeLivePointFile(out.path, file);
+                } catch (const CheckpointError &) {
+                    ++failures;
+                }
+            }
+        });
+    }
+    for (auto &t : writers)
+        t.join();
+    EXPECT_EQ(failures.load(), 0u);
+
+    const auto back = checkpoint::readLivePointFile(out.path);
+    EXPECT_EQ(serialize(back), serialize(file));
+    // Every temp file was renamed into place: no litter.
+    const auto p = std::filesystem::path(out.path);
+    for (const auto &entry :
+         std::filesystem::directory_iterator(p.parent_path()))
+        EXPECT_NE(entry.path().filename().string().rfind(
+                      p.filename().string() + ".tmp", 0),
+                  0u)
+            << entry.path();
 }
 
 TEST(LivePoint, KeyInvalidation)

@@ -822,6 +822,9 @@ TEST(Stream, StreamedEqualsOfflineAcrossChunkSplits)
         {records_at + 200000ull * 32 + 5, records_at + 300000ull * 32},
         // Byte-count thirds: both cuts land mid-record, mid-window.
         {bytes.size() / 3, 2 * bytes.size() / 3},
+        // One record completed across three appends, the middle one
+        // too short to finish it.
+        {records_at + 17, records_at + 20, records_at + 5 * 32 + 1},
     };
 
     for (const unsigned threads : {1u, 3u}) {
@@ -2036,6 +2039,22 @@ TEST(Service, TypedStatusAndStatsMatchDaemonCounters)
     EXPECT_NE(client.statusText().find("jobs=1"), std::string::npos);
     EXPECT_NE(client.statsText().find("total_executed=1"),
               std::string::npos);
+
+    // The daemon's checkpoint library: a fresh cell over the same
+    // workload and schedule takes every checkpoint from the ladder
+    // the first cell built, fast-forwarding nothing.
+    EXPECT_GT(stats.ckpt_hits + stats.ckpt_misses, 0u);
+    const auto again = client.submit("workload bzip2\n"
+                                     "config c llc=8MiB\n"
+                                     "schedule s spacing=200000 "
+                                     "regions=2\n"
+                                     "methods delorean\n");
+    ASSERT_TRUE(client.waitForJob(again.job, 120.0));
+    const ServiceStats later = client.stats();
+    EXPECT_EQ(later.cells_executed, 2u);
+    EXPECT_GT(later.ckpt_hits, stats.ckpt_hits);
+    EXPECT_EQ(later.ckpt_misses, stats.ckpt_misses);
+    EXPECT_EQ(later.ckpt_ff_insts, stats.ckpt_ff_insts);
 }
 
 // ------------------------------------------------- stream migration

@@ -735,6 +735,25 @@ TEST(TraceRegistry, ResolvesAllSchemes)
               std::filesystem::path(champ.path).stem().string());
 }
 
+TEST(TraceRegistry, OnlySpecTracesCarryAStreamIdentity)
+{
+    TempFile dlt("identity_dlt");
+    TempFile champ("identity_champ");
+    recordSpec("bzip2", 100, dlt.path);
+    writeChampSimWorkload(champ.path, 64);
+
+    // The normalized spec, as batch::KeyBuilder::workload spells it,
+    // surviving clones.
+    EXPECT_EQ(makeTrace("bzip2")->streamIdentity(), "spec:bzip2");
+    EXPECT_EQ(makeTrace("spec:mcf")->clone()->streamIdentity(),
+              "spec:mcf");
+    // File content can change under a path, and hand-built profiles
+    // can reuse a name: neither may share the checkpoint library.
+    EXPECT_EQ(makeTrace("file:" + dlt.path)->streamIdentity(), "");
+    EXPECT_EQ(makeTrace("champsim:" + champ.path)->streamIdentity(), "");
+    EXPECT_EQ(SyntheticTrace(specProfile("bzip2")).streamIdentity(), "");
+}
+
 TEST(TraceRegistry, BadFileSurfacesAsTraceError)
 {
     EXPECT_THROW(makeTrace("file:/nonexistent/x.dlt"), TraceError);
